@@ -107,16 +107,17 @@ constexpr uint64_t MicroOpsCap = uint64_t{1} << 40;
 /// Per-thread backstop cap for alloc_retire (memory stays bounded per
 /// scheme: reclaiming schemes drain as the run progresses, and NoMM uses
 /// discard() below). Early exit is harmless to throughput: the rate math
-/// uses each worker's own measured interval.
+/// divides by the longest worker's measured interval, the phase's wall
+/// time.
 constexpr uint64_t AllocOpsCap = uint64_t{1} << 24;
 
 /// Runs \p Body (thread index -> op count) on \p Threads workers for
 /// roughly \p Secs, invoking \p Sampler from the coordinating thread
 /// about once per millisecond while they run (the harness runner's
-/// Figure 12 sampling idiom). A worker that hits its op cap exits
-/// early, so the aggregate throughput sums per-worker rates over each
-/// worker's own measured interval rather than dividing by the sleep
-/// duration.
+/// Figure 12 sampling idiom). Throughput is total ops over the phase's
+/// wall time — the longest worker's measured interval, not the sleep
+/// duration — the same rule as `harness::runMeasured`, so the kv suites
+/// and the paper-figure suites measure throughput the same way.
 template <typename Body, typename Sample>
 void timedPhaseSampled(unsigned Threads, double Secs, Body &&Fn,
                        Sample &&Sampler, double &MopsOut, uint64_t &OpsOut,
@@ -146,16 +147,14 @@ void timedPhaseSampled(unsigned Threads, double Secs, Body &&Fn,
   Stop.store(true, std::memory_order_relaxed);
   for (std::thread &W : Workers)
     W.join();
-  double RateSum = 0, MaxTook = 0;
+  double MaxTook = 0;
   uint64_t Total = 0;
   for (unsigned T = 0; T < Threads; ++T) {
     Total += Ops[T];
-    if (Took[T] > 0)
-      RateSum += static_cast<double>(Ops[T]) / Took[T];
     if (Took[T] > MaxTook)
       MaxTook = Took[T];
   }
-  MopsOut = RateSum / 1e6;
+  MopsOut = MaxTook > 0 ? static_cast<double>(Total) / MaxTook / 1e6 : 0;
   OpsOut = Total;
   ElapsedOut = MaxTook;
 }

@@ -28,6 +28,12 @@
 /// per-shard submission rings drained by a flat-combining applier into
 /// `applyAsyncBatch` below — one guard, one stamp window per batch).
 ///
+/// Every write — put, erase, compare_and_set, merge, a transaction
+/// entry, an async same-key group — is a *fold* over the key's settled
+/// chain head, executed by the one append site `foldAppend`; every
+/// multi-key write (a transaction commit, an async batch) is one call to
+/// the one commit-record driver `commitGroups`.
+///
 /// Shape:
 ///
 ///   store ── shard[0..S) ── split-ordered list (buckets = dummy nodes
@@ -58,7 +64,8 @@
 ///    single clock tick, so snapshot reads observe the batch
 ///    all-or-nothing. The chain protocol that makes this sound is
 ///    documented at `stampOf` / `settleHeadForWrite` below; its load-
-///    bearing invariants are:
+///    bearing invariants are enforced at one append site (`foldAppend`)
+///    and one commit driver (`commitGroups`):
 ///
 ///      1. *Never append above an unsettled head.* A writer first
 ///         settles the head's stamp: solo-pending stamps are helped
@@ -239,7 +246,12 @@ public:
   /// the oldest live snapshot before returning.
   bool put(thread_id Tid, const K &Key, const V &Val) {
     auto G = Dom->enter(Tid);
-    return write(G, Key, &Val, /*Tombstone=*/false);
+    bool WasLive = false;
+    foldAppend(G, Key, Codec<K>::hash(Key), 0, [&](VNode *Hd, std::uint64_t) {
+      WasLive = isLive(Hd);
+      return Decision{Decision::Put, &Val};
+    });
+    return !WasLive;
   }
 
   /// Removes the binding for \p Key by appending a tombstone version (so
@@ -248,53 +260,21 @@ public:
   /// the tombstone, the key node itself is unlinked and retired.
   bool erase(thread_id Tid, const K &Key) {
     auto G = Dom->enter(Tid);
-    return write(G, Key, nullptr, /*Tombstone=*/true);
+    return foldAppend(G, Key, Codec<K>::hash(Key), 0,
+                      [](VNode *Hd, std::uint64_t) {
+                        return Decision{isLive(Hd) ? Decision::Tomb
+                                                   : Decision::Skip};
+                      })
+               .What == Decision::Tomb;
   }
 
   /// Latest-value read: the newest *committed* version of \p Key, or
-  /// nullopt when the key is absent or tombstoned. Versions belonging
-  /// to an unpublished or aborted transaction are invisible: the read
-  /// descends past pending ones and restarts from the head when it
-  /// meets an aborted one (same protocol as `readAt`).
+  /// nullopt when the key is absent or tombstoned — `readAt` at +inf.
+  /// Versions belonging to an unpublished or aborted transaction are
+  /// invisible: the read descends past pending ones and restarts from
+  /// the head when it meets an aborted one.
   std::optional<V> get(thread_id Tid, const K &Key) {
-    auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
-      return std::nullopt;
-    KNode *KN = toK(Pos.CurrRaw);
-    for (;;) {
-      const std::uintptr_t Hd = G.protect_link(kr(KN).VHead, VSlotA);
-      if (Hd & Tag)
-        return std::nullopt; // key logically removed
-      VNode *Cur = toV(Hd);
-      unsigned A = VSlotA, B = VSlotB;
-      bool Restart = false;
-      while (Cur) {
-        const std::uint64_t St = stampOf(G, Cur);
-        if (St == SnapshotRegistry::Aborted) {
-          Restart = true;
-          break;
-        }
-        if (St != SnapshotRegistry::Pending) { // newest settled version
-          if (vr(Cur).Tombstone)
-            return std::nullopt;
-          return Codec<V>::decode(vr(Cur).Val);
-        }
-        const std::uintptr_t Nxt = G.protect_link(vr(Cur).Older, B);
-        if (vr(Cur).Stamp.load(std::memory_order_seq_cst) ==
-            SnapshotRegistry::Aborted) {
-          Restart = true; // killed under us: Nxt may be stale
-          break;
-        }
-        Cur = toV(Nxt);
-        std::swap(A, B);
-      }
-      if (!Restart)
-        return std::nullopt;
-    }
+    return getAt(Tid, Key, SnapshotRegistry::StampMask);
   }
 
   /// Atomically replaces \p Key's value with \p Desired iff its current
@@ -306,46 +286,14 @@ public:
   bool compare_and_set(thread_id Tid, const K &Key, const V &Expected,
                        const V &Desired) {
     auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    VNode *FreshV = nullptr;
-    bool Result = false;
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/false);
-      if (!Pos.Found)
-        break;
-      KNode *KN = toK(Pos.CurrRaw);
-      std::uintptr_t Hd;
-      std::uint64_t HdStamp;
-      if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-        continue;
-      VNode *HeadV = toV(Hd);
-      if (!HeadV || vr(HeadV).Tombstone)
-        break; // no visible value to compare against
-      if (Codec<V>::compare(vr(HeadV).Val, Expected) != 0)
-        break;
-      if (!FreshV)
-        FreshV = makeVersion(G, &Desired, false, Hd);
-      else
-        vr(FreshV).Older.store(Hd, std::memory_order_relaxed);
-      std::uintptr_t Expect = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expect, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        Registry.resolve(vr(FreshV).Stamp);
-        FreshV = nullptr;
-        trimChain(G, KN, S, H, P);
-        Result = true;
-        break;
-      }
-      // Lost the append race; re-find, re-compare, retry.
-    }
-    if (FreshV)
-      discardVersion(G, FreshV);
-    return Result;
+    return foldAppend(G, Key, Codec<K>::hash(Key), 0,
+                      [&](VNode *Hd, std::uint64_t) {
+                        if (!isLive(Hd) ||
+                            Codec<V>::compare(vr(Hd).Val, Expected) != 0)
+                          return Decision{Decision::Skip};
+                        return Decision{Decision::Put, &Desired};
+                      })
+               .What == Decision::Put;
   }
 
   /// Atomic read-modify-write of one key without a transaction: \p Fn
@@ -355,47 +303,12 @@ public:
   /// and must be pure. Returns the stored value.
   template <typename F> V merge(thread_id Tid, const K &Key, F &&Fn) {
     auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/true);
-      if (!Pos.Found) {
-        const V NewV = Fn(std::optional<V>());
-        VNode *FreshV = makeVersion(G, &NewV, false, 0);
-        KNode *FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
-        protectSelf(G, FreshV);
-        if (Index->insertAt(G, S, Pos, rawK(FreshK))) {
-          Registry.resolve(vr(FreshV).Stamp);
-          return NewV;
-        }
-        discardVersion(G, FreshV);
-        discardKey(G, FreshK);
-        continue;
-      }
-      KNode *KN = toK(Pos.CurrRaw);
-      std::uintptr_t Hd;
-      std::uint64_t HdStamp;
-      if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-        continue;
-      VNode *HeadV = toV(Hd);
-      std::optional<V> Cur;
-      if (HeadV && !vr(HeadV).Tombstone)
-        Cur.emplace(Codec<V>::decode(vr(HeadV).Val));
-      const V NewV = Fn(std::move(Cur));
-      VNode *FreshV = makeVersion(G, &NewV, false, Hd);
-      std::uintptr_t Expect = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expect, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        Registry.resolve(vr(FreshV).Stamp);
-        trimChain(G, KN, S, H, P);
-        return NewV;
-      }
-      discardVersion(G, FreshV); // the value may change: remake per retry
-    }
+    std::optional<V> NewV;
+    foldAppend(G, Key, Codec<K>::hash(Key), 0, [&](VNode *Hd, std::uint64_t) {
+      NewV.emplace(Fn(valueOf(Hd)));
+      return Decision{Decision::Put, &*NewV};
+    });
+    return std::move(*NewV);
   }
 
   /// Opens a multi-key transaction on this store: a snapshot pinned for
@@ -409,17 +322,7 @@ public:
   /// same key through the same snapshot return the same result.
   std::optional<V> get(thread_id Tid, const K &Key,
                        const SnapshotHandle &Snap) {
-    auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
-      return std::nullopt;
-    VNode *VN = readAt(G, toK(Pos.CurrRaw), Snap.version());
-    if (!VN)
-      return std::nullopt;
-    return Codec<V>::decode(vr(VN).Val);
+    return getAt(Tid, Key, Snap.version());
   }
 
   /// Opens a snapshot of the whole store at the current version clock.
@@ -498,11 +401,8 @@ public:
     for (const K &Key : Keys) {
       auto G = Dom->enter(Tid);
       const std::uint64_t H = Codec<K>::hash(Key);
-      const Probe P{itemSoKey(H), &Key};
-      const typename Index_t::Position Pos =
-          Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-      if (Pos.Found)
-        trimChain(G, toK(Pos.CurrRaw), shardOf(H), H, P);
+      if (KNode *KN = findKey(G, Key, H))
+        trimChain(G, KN, shardOf(H), H, Probe{itemSoKey(H), &Key});
     }
   }
 
@@ -569,16 +469,12 @@ public:
   /// introspection hook; O(chain), racy under concurrent writes.
   std::size_t version_count(thread_id Tid, const K &Key) {
     auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
+    KNode *KN = findKey(G, Key, Codec<K>::hash(Key));
+    if (!KN)
       return 0;
     std::size_t N = 0;
     unsigned A = VSlotA, B = VSlotB;
-    std::uintptr_t Raw =
-        G.protect_link(kr(toK(Pos.CurrRaw)).VHead, A) & ~Tag;
+    std::uintptr_t Raw = G.protect_link(kr(KN).VHead, A) & ~Tag;
     while (VNode *VN = toV(Raw)) {
       ++N;
       const std::uint64_t St =
@@ -1088,204 +984,142 @@ private:
     }
   }
 
-  /// Shared write path of put (Tomb=false, \p Val set) and erase
-  /// (Tomb=true, \p Val null). Returns true when the key had no live
-  /// binding before this write.
-  bool write(guard_type &G, const K &Key, const V *Val, bool Tomb) {
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    VNode *FreshV = nullptr;
-    KNode *FreshK = nullptr;
-    bool Result = false;
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/true);
-      if (!Pos.Found) {
-        if (Tomb)
-          break; // erase of an absent key: no tombstone needed
-        if (!FreshV)
-          FreshV = makeVersion(G, Val, false, 0);
-        else
-          vr(FreshV).Older.store(0, std::memory_order_relaxed);
-        if (!FreshK)
-          FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
-        else
-          kr(FreshK).VHead.store(rawV(FreshV), std::memory_order_relaxed);
-        protectSelf(G, FreshV);
-        if (Index->insertAt(G, S, Pos, rawK(FreshK))) {
-          // Publish-then-stamp: the version entered the structure above;
-          // only now does it draw its clock value (helped by any racing
-          // reader via resolve).
-          Registry.resolve(vr(FreshV).Stamp);
-          FreshV = nullptr;
-          FreshK = nullptr;
-          Result = true;
-          break;
-        }
-        continue;
-      }
-      KNode *KN = toK(Pos.CurrRaw);
-      std::uintptr_t Hd;
-      std::uint64_t HdStamp;
-      if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-        continue; // key died (or is dying): re-find — a put re-inserts
-                  // a fresh key node, an erase finds nothing
-      VNode *HeadV = toV(Hd);
-      const bool WasLive = HeadV && !vr(HeadV).Tombstone;
-      if (Tomb && !WasLive)
-        break; // erasing an already-tombstoned key changes nothing
-      if (!FreshV)
-        FreshV = makeVersion(G, Val, Tomb, Hd);
-      else
-        vr(FreshV).Older.store(Hd, std::memory_order_relaxed);
-      std::uintptr_t Expected = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        Registry.resolve(vr(FreshV).Stamp);
-        FreshV = nullptr;
-        trimChain(G, KN, S, H, P);
-        // put reports "key was absent", erase reports "key was present".
-        Result = Tomb ? WasLive : !WasLive;
-        break;
-      }
-      // Lost the append race; re-find and retry.
-    }
-    if (FreshV)
-      discardVersion(G, FreshV);
-    if (FreshK)
-      discardKey(G, FreshK);
-    return Result;
-  }
-
-  //===------------------------------------------------------------------===//
-  // Transaction commit engine (driven by kv/txn.h)
-  //===------------------------------------------------------------------===//
-
-  /// Outcome of publishing one write-set entry.
-  struct PublishResult {
-    /// The appended version; null for a no-op entry (an erase of an
-    /// absent or already-dead key publishes nothing).
-    VNode *Published = nullptr;
-    /// First-writer-wins: the key's settled head stamp moved past the
-    /// transaction's read stamp, so the commit must abort.
-    bool Conflict = false;
-  };
-
-  /// Publishes one version for \p Key under commit record \p C (null
-  /// for a conflict-checked solo write): settles the head, reports a
-  /// conflict when its settled stamp exceeds \p ReadStamp, otherwise
-  /// appends a version carrying \p C with its stamp left Pending. An
-  /// *absent* key never conflicts: unlinking a key requires its
-  /// tombstone to settle at or below the trim floor, and the caller's
-  /// live snapshot pins the floor at or below \p ReadStamp — so any
-  /// post-ReadStamp write would still be in the chain. For C == null
-  /// the caller resolves the published stamp itself.
-  PublishResult publishChecked(guard_type &G, const K &Key,
-                               const std::optional<V> &Val,
-                               std::uint64_t H, CNode *C,
-                               std::uint64_t ReadStamp) {
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    const bool Tomb = !Val.has_value();
-    const std::uintptr_t CRaw = C ? rawC(C) : 0;
-    VNode *FreshV = nullptr;
-    KNode *FreshK = nullptr;
-    PublishResult R;
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/true);
-      if (!Pos.Found) {
-        if (Tomb)
-          break; // erase of an absent key: nothing to publish
-        if (!FreshV)
-          FreshV = makeVersion(G, &*Val, false, 0, CRaw);
-        else
-          vr(FreshV).Older.store(0, std::memory_order_relaxed);
-        if (!FreshK)
-          FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
-        else
-          kr(FreshK).VHead.store(rawV(FreshV), std::memory_order_relaxed);
-        protectSelf(G, FreshV);
-        if (Index->insertAt(G, S, Pos, rawK(FreshK))) {
-          R.Published = FreshV;
-          FreshV = nullptr;
-          FreshK = nullptr;
-          break;
-        }
-        continue;
-      }
-      KNode *KN = toK(Pos.CurrRaw);
-      std::uintptr_t Hd;
-      std::uint64_t HdStamp;
-      if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-        continue;
-      if (HdStamp > ReadStamp) {
-        R.Conflict = true;
-        break;
-      }
-      VNode *HeadV = toV(Hd);
-      if (Tomb && (!HeadV || vr(HeadV).Tombstone))
-        break; // erase of a dead key: nothing to publish
-      if (!FreshV)
-        FreshV = makeVersion(G, Val ? &*Val : nullptr, Tomb, Hd, CRaw);
-      else
-        vr(FreshV).Older.store(Hd, std::memory_order_relaxed);
-      std::uintptr_t Expected = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        R.Published = FreshV;
-        FreshV = nullptr;
-        break;
-      }
-      // Lost the append race; re-find, re-check the conflict, retry.
-    }
-    if (FreshV)
-      discardVersion(G, FreshV);
-    if (FreshK)
-      discardKey(G, FreshK);
-    return R;
-  }
-
-  /// Commit-path settle sweep for one published entry: re-find the key
-  /// and walk it at the commit stamp \p T. `stampOf` settles our
-  /// version through the record when the walk meets it (the cache CAS
-  /// *is* the settle); a missing key or an already-buried version means
-  /// another thread settled it first — burial, trim, and unlink all
-  /// require a settled stamp. Never touches the stored `VNode*`
-  /// directly: the version may have been settled, trimmed, and its
-  /// address recycled, so the only safe route back is a protected walk.
-  void settlePublished(guard_type &G, const K &Key, std::uint64_t H,
-                       std::uint64_t T) {
+  /// The key node of \p Key (hash \p H), or null when it is absent. A
+  /// lookup: it never materializes buckets.
+  KNode *findKey(guard_type &G, const K &Key, std::uint64_t H) {
     const Probe P{itemSoKey(H), &Key};
     const typename Index_t::Position Pos =
         Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (Pos.Found)
-      (void)readAt(G, toK(Pos.CurrRaw), T);
+    return Pos.Found ? toK(Pos.CurrRaw) : nullptr;
   }
 
-  /// `settlePublished` fused with the trim the write owes the chain:
-  /// ONE find serves both the settling walk (`readAt` at the commit
-  /// stamp — the cache CAS *is* the settle) and the suffix trim. The
-  /// async batch engine's per-group path: the find's key protection
-  /// spans both walks (`readAt` and `trimChain` cycle only the V
-  /// slots), so the safety argument is exactly the sequential pair's,
-  /// at one index traversal instead of two.
-  void settleAndTrim(guard_type &G, const K &Key, std::uint64_t H,
-                     std::uint64_t T) {
+  /// Shared body of both `get`s: `readAt` \p At, decoded.
+  std::optional<V> getAt(thread_id Tid, const K &Key, std::uint64_t At) {
+    auto G = Dom->enter(Tid);
+    KNode *KN = findKey(G, Key, Codec<K>::hash(Key));
+    VNode *VN = KN ? readAt(G, KN, At) : nullptr;
+    if (!VN)
+      return std::nullopt;
+    return Codec<V>::decode(vr(VN).Val);
+  }
+
+  /// What a write fold decides for one key, given its settled head.
+  struct Decision {
+    enum Kind : unsigned char {
+      Skip,     ///< append nothing: the write is a no-op on this head
+      Conflict, ///< append nothing, and the enclosing commit aborts
+      Put,      ///< append a version holding `*Val`
+      Tomb,     ///< append a tombstone (only over a live value)
+    } What;
+    /// Put's value, owned by the fold; read before the fold runs again.
+    const V *Val = nullptr;
+  };
+
+  /// `foldAppend`'s outcome: the fold's final decision, plus the stamp a
+  /// solo append resolved to (0 for no append or a record-carrying one).
+  struct Applied {
+    typename Decision::Kind What;
+    std::uint64_t Stamp;
+  };
+
+  /// True when head version \p Hd (null: none) holds a live value.
+  static bool isLive(VNode *Hd) { return Hd && !vr(Hd).Tombstone; }
+
+  /// The value of head version \p Hd; nullopt when it is not live.
+  static std::optional<V> valueOf(VNode *Hd) {
+    if (!isLive(Hd))
+      return std::nullopt;
+    return Codec<V>::decode(vr(Hd).Val);
+  }
+
+  /// The one append site, through which every write passes. Finds
+  /// \p Key (hash \p H), settles its chain head (invariant 1) and asks
+  /// `Fold(head version, head stamp)` for a `Decision` — the head is
+  /// null with stamp 0 for an absent key, so an absent key never
+  /// conflicts. For Put/Tomb it makes the version, carrying commit record
+  /// \p CRaw (0 for a solo write), pins it with `protectSelf`, and
+  /// publishes it with one CAS on the head or one `insertAt` of a fresh
+  /// key node. A lost race discards the version and re-runs the fold on
+  /// the new head, so a fold must be repeatable (each run overwrites what
+  /// it records). A solo append is stamped here — publish-then-stamp: it
+  /// draws its clock value only once it is in the structure — and trims
+  /// the chain; a record-carrying one stays Pending until `commitGroups`
+  /// settles the record.
+  template <typename F>
+  Applied foldAppend(guard_type &G, const K &Key, std::uint64_t H,
+                     std::uintptr_t CRaw, F &&Fold) {
     const std::size_t S = shardOf(H);
     const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, S, H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
+    for (;;) {
+      const typename Index_t::Position Pos =
+          Index->find(G, S, H, P, /*InitBuckets=*/true);
+      KNode *KN = Pos.Found ? toK(Pos.CurrRaw) : nullptr;
+      std::uintptr_t Hd = 0;
+      std::uint64_t HdStamp = 0;
+      if (KN && !settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
+        continue; // key died (or is dying): re-find — a put re-inserts
+                  // a fresh key node, an erase finds nothing
+      const Decision D = Fold(toV(Hd), HdStamp);
+      if (D.What == Decision::Skip || D.What == Decision::Conflict)
+        return {D.What, 0};
+      assert((KN || D.What == Decision::Put) && "tombstone on absent key");
+      VNode *FreshV =
+          makeVersion(G, D.Val, D.What == Decision::Tomb, Hd, CRaw);
+      protectSelf(G, FreshV);
+      bool Won;
+      if (KN) {
+        std::uintptr_t Expected = Hd;
+        Won = kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
+                                                   std::memory_order_seq_cst,
+                                                   std::memory_order_seq_cst);
+      } else {
+        KNode *FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
+        Won = Index->insertAt(G, S, Pos, rawK(FreshK));
+        if (!Won)
+          discardKey(G, FreshK);
+      }
+      if (!Won) {
+        discardVersion(G, FreshV);
+        continue;
+      }
+      if (CRaw)
+        return {D.What, 0};
+      const std::uint64_t T = Registry.resolve(vr(FreshV).Stamp);
+      if (KN)
+        trimChain(G, KN, S, H, P);
+      return {D.What, T};
+    }
+  }
+
+  //===------------------------------------------------------------------===//
+  // Commit engine (driven by kv/txn.h and kv/submit.h)
+  //===------------------------------------------------------------------===//
+
+  /// One key's write inside `commitGroups`: the key, its hash, and the
+  /// fold `foldAppend` runs over its head.
+  template <typename F> struct KeyFold {
+    const K &Key;
+    std::uint64_t H;
+    F Fold;
+  };
+
+  /// Commit sweep for one published key: ONE find serves both the
+  /// settling walk (`readAt` at the commit stamp \p T) and the trim the
+  /// write owes the chain. `stampOf` settles our version through the
+  /// record when the walk meets it (the cache CAS *is* the settle); a
+  /// missing key or an already-buried version means another thread
+  /// settled it first — burial, trim, and unlink all require a settled
+  /// stamp. Never touches the published `VNode*` directly: the version
+  /// may have been settled, trimmed, and its address recycled, so the
+  /// only safe route back is a protected walk. The find's key protection
+  /// spans both walks (`readAt` and `trimChain` cycle only the V slots).
+  void settleAndTrim(guard_type &G, const K &Key, std::uint64_t H,
+                     std::uint64_t T) {
+    KNode *KN = findKey(G, Key, H);
+    if (!KN)
       return;
-    KNode *KN = toK(Pos.CurrRaw);
     (void)readAt(G, KN, T);
-    trimChain(G, KN, S, H, P);
+    trimChain(G, KN, shardOf(H), H, Probe{itemSoKey(H), &Key});
   }
 
   /// Abort-path sweep for one published entry: while the key's head
@@ -1300,11 +1134,9 @@ private:
     const std::size_t S = shardOf(H);
     const Probe P{itemSoKey(H), &Key};
     for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/false);
-      if (!Pos.Found)
+      KNode *KN = findKey(G, Key, H);
+      if (!KN)
         return; // key unlinked: our version was unpublished first
-      KNode *KN = toK(Pos.CurrRaw);
       const std::uintptr_t Hd = G.protect_link(kr(KN).VHead, VSlotA);
       if (Hd & Tag)
         return; // dead-marked (possibly by our version's unpublisher)
@@ -1318,6 +1150,80 @@ private:
       unpublishAbortedHead(G, KN, Hd, S, H, P);
       // Loop: retry until the head no longer carries our record.
     }
+  }
+
+  /// The one commit-record driver: writes the \p NGroups key folds
+  /// `FoldOf(I)` (a `KeyFold`, rebuilt on every use) atomically. A lone
+  /// group is atomic by construction: one solo `foldAppend`, no record.
+  /// Otherwise: make a record, publish every group's version under it,
+  /// open it Unpublished -> Pending, settle it with ONE clock tick
+  /// (`resolveCommit`) so snapshot reads and scans observe the set
+  /// all-or-nothing, sweep every published key (`settleAndTrim` on
+  /// commit, `abortPublished` on abort), and only then retire the record
+  /// (invariant 3). Returns the commit stamp (0 when a lone group
+  /// appended nothing), or nullopt when the commit aborted — a fold
+  /// reported `Conflict`, or a racing writer killed the still-unpublished
+  /// record. Nothing of an aborted commit ever became visible.
+  template <typename FoldOfT>
+  std::optional<std::uint64_t>
+  commitGroups(guard_type &G, std::size_t NGroups, FoldOfT &&FoldOf) {
+    if (NGroups == 1) {
+      auto KF = FoldOf(0);
+      const Applied R = foldAppend(G, KF.Key, KF.H, 0, KF.Fold);
+      if (R.What == Decision::Conflict)
+        return std::nullopt;
+      return R.Stamp;
+    }
+    CNode *C = makeCommit(G);
+    std::vector<bool> Published(NGroups, false);
+    bool Doomed = false;
+    for (std::size_t I = 0; I < NGroups && !Doomed; ++I) {
+      // A racing writer may have killed the record already; stop
+      // publishing born-dead versions once that is visible.
+      Doomed = cr(C).Stamp.load(std::memory_order_seq_cst) ==
+               SnapshotRegistry::Aborted;
+      if (Doomed)
+        break;
+      auto KF = FoldOf(I);
+      const auto What = foldAppend(G, KF.Key, KF.H, rawC(C), KF.Fold).What;
+      Doomed = What == Decision::Conflict;
+      Published[I] = What == Decision::Put || What == Decision::Tomb;
+    }
+    // The whole set is in the chains: open the record for helping.
+    // Losing this CAS means a writer killed the record between our last
+    // publish and here — abort.
+    std::uint64_t Exp = SnapshotRegistry::Unpublished;
+    const bool Committed =
+        !Doomed && cr(C).Stamp.compare_exchange_strong(
+                       Exp, SnapshotRegistry::Pending,
+                       std::memory_order_seq_cst, std::memory_order_seq_cst);
+    std::uint64_t T = 0;
+    if (Committed) {
+      // One tick stamps the entire set (helpers CAS benignly).
+      T = Registry.resolveCommit(cr(C).Stamp);
+    } else {
+      // Conflict or killed: make the terminal state explicit (a no-op
+      // when a killer already wrote it).
+      Exp = SnapshotRegistry::Unpublished;
+      cr(C).Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
+                                          std::memory_order_seq_cst,
+                                          std::memory_order_seq_cst);
+    }
+    // Invariant 3: every published version's stamp must leave Pending
+    // before the record is retired.
+    for (std::size_t I = 0; I < NGroups; ++I) {
+      if (!Published[I])
+        continue;
+      auto KF = FoldOf(I);
+      if (Committed)
+        settleAndTrim(G, KF.Key, KF.H, T);
+      else
+        abortPublished(G, KF.Key, KF.H, C);
+    }
+    retireCommit(G, C);
+    if (!Committed)
+      return std::nullopt;
+    return T;
   }
 
   /// Commits a deduplicated, buffered write set atomically — the
@@ -1359,265 +1265,82 @@ private:
         }
       }
     } TR{*this, ReadStamp};
-    if (Set.size() == 1) {
-      // Solo fast path: a one-entry batch is atomic by construction —
-      // a conflict-checked write, no commit record, per-key resolve.
-      const Entry &E = Set.front();
-      const PublishResult R =
-          publishChecked(G, E.Key, E.Val, E.Hash, /*C=*/nullptr, ReadStamp);
-      if (R.Conflict)
-        return std::nullopt;
-      TR.Committed = true;
-      if (!R.Published)
-        return ReadStamp; // no-op erase: trivially committed
-      const std::uint64_t T = Registry.resolve(vr(R.Published).Stamp);
-      trimAt(G, E.Key, E.Hash);
-      return T;
-    }
-
-    CNode *C = makeCommit(G);
-    std::vector<bool> Published(Set.size(), false);
-    bool Doomed = false;
-    for (std::size_t I = 0; I < Set.size() && !Doomed; ++I) {
-      // A racing writer may have killed the record already; stop
-      // publishing born-dead versions once that is visible.
-      if (cr(C).Stamp.load(std::memory_order_seq_cst) ==
-          SnapshotRegistry::Aborted) {
-        Doomed = true;
-        break;
-      }
-      const PublishResult R =
-          publishChecked(G, Set[I].Key, Set[I].Val, Set[I].Hash, C, ReadStamp);
-      if (R.Conflict)
-        Doomed = true;
-      else
-        Published[I] = R.Published != nullptr;
-    }
-
-    std::uint64_t T = 0;
-    bool Committed = false;
-    if (!Doomed) {
-      // The whole write set is in the chains: open the record for
-      // helping. Losing this CAS means a writer killed the record
-      // between our last publish and here — abort.
-      std::uint64_t Exp = SnapshotRegistry::Unpublished;
-      if (cr(C).Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Pending,
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_seq_cst)) {
-        // One tick stamps the entire batch (helpers CAS benignly).
-        T = Registry.resolveCommit(cr(C).Stamp);
-        Committed = true;
-      }
-    }
-    if (!Committed) {
-      // Conflict or killed: make the terminal state explicit (a no-op
-      // when a killer already wrote it).
-      std::uint64_t Exp = SnapshotRegistry::Unpublished;
-      cr(C).Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst);
-    }
-    // Invariant 3: every published version's stamp must leave Pending
-    // before the record is retired.
-    for (std::size_t I = 0; I < Set.size(); ++I) {
-      if (!Published[I])
-        continue;
-      if (Committed)
-        settlePublished(G, Set[I].Key, Set[I].Hash, T);
-      else
-        abortPublished(G, Set[I].Key, Set[I].Hash, C);
-    }
-    retireCommit(G, C);
-    TR.Committed = Committed;
-    if (!Committed)
-      return std::nullopt;
-    for (std::size_t I = 0; I < Set.size(); ++I)
-      if (Published[I])
-        trimAt(G, Set[I].Key, Set[I].Hash);
+    // An entry is a fold with the first-writer-wins check: the key's
+    // settled head moved past the read stamp. An absent key (head stamp
+    // 0) never conflicts: unlinking a key requires its tombstone to
+    // settle at or below the trim floor, and the caller's live snapshot
+    // pins the floor at or below ReadStamp — so any post-ReadStamp write
+    // would still be in the chain.
+    const std::optional<std::uint64_t> T =
+        commitGroups(G, Set.size(), [&](std::size_t I) {
+          const Entry &E = Set[I];
+          return KeyFold{E.Key, E.Hash,
+                         [&E, ReadStamp](VNode *Hd, std::uint64_t HdStamp) {
+                           if (HdStamp > ReadStamp)
+                             return Decision{Decision::Conflict};
+                           if (E.Val)
+                             return Decision{Decision::Put, &*E.Val};
+                           return Decision{isLive(Hd) ? Decision::Tomb
+                                                      : Decision::Skip};
+                         }};
+        });
+    TR.Committed = T.has_value();
+    if (T && !*T)
+      return ReadStamp; // a lone erase of a dead key: trivially committed
     return T;
   }
 
   friend class Txn<Scheme, K, V>;
 
-  //===------------------------------------------------------------------===//
-  // Async submission batch engine (driven by kv/submit.h)
-  //===------------------------------------------------------------------===//
-
-  /// Re-finds \p Key and trims its version chain (shared post-publish
-  /// epilogue of the write, commit, and batch paths).
-  void trimAt(guard_type &G, const K &Key, std::uint64_t H) {
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (Pos.Found)
-      trimChain(G, toK(Pos.CurrRaw), shardOf(H), H, P);
-  }
-
-  /// Publishes ONE version carrying the folded result of the same-key
-  /// request group `Batch[Begin, End)`: settles the head, folds every
-  /// request in submission order against the key's current visible
-  /// value, and CAS-appends a single version holding the final state —
-  /// or nothing when the fold is a no-op (erases of a dead key).
-  /// \p Req is duck-typed: `key()`, `hash()`, and
-  /// `fold(std::optional<V>&&) -> std::optional<V>` (which records the
-  /// request's own completion result; a lost append race re-runs the
-  /// folds against the new head, so they must be repeatable).
-  ///
-  /// With \p C null the append is a solo write — the caller must
-  /// `resolve` the returned version's stamp. With \p C set the version
-  /// carries the shared commit record and its stamp stays Pending until
-  /// the record settles; the returned pointer is then only good for a
-  /// null test (invariant 2 keeps the version alive, but the VSlotSelf
-  /// protection is recycled by the next group's publish).
-  template <typename Req>
-  VNode *publishGroupFold(guard_type &G, Req *const *Batch,
-                          std::size_t Begin, std::size_t End, CNode *C) {
-    const K &Key = Batch[Begin]->key();
-    const std::uint64_t H = Batch[Begin]->hash();
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    const std::uintptr_t CRaw = C ? rawC(C) : 0;
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/true);
-      std::uintptr_t Hd = 0;
-      KNode *KN = nullptr;
-      std::optional<V> Cur;
-      if (Pos.Found) {
-        KN = toK(Pos.CurrRaw);
-        std::uint64_t HdStamp;
-        if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-          continue; // key died under us: re-find (a put re-inserts)
-        if (VNode *HeadV = toV(Hd); HeadV && !vr(HeadV).Tombstone)
-          Cur.emplace(Codec<V>::decode(vr(HeadV).Val));
-      }
-      const bool WasLive = Cur.has_value();
-      std::optional<V> Folded = std::move(Cur);
-      for (std::size_t I = Begin; I < End; ++I)
-        Folded = Batch[I]->fold(std::move(Folded));
-      if (!Folded.has_value() && !WasLive)
-        return nullptr; // the group folds to a no-op: publish nothing
-      const bool Tomb = !Folded.has_value();
-      if (!Pos.Found) {
-        VNode *FreshV = makeVersion(G, &*Folded, false, 0, CRaw);
-        KNode *FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
-        protectSelf(G, FreshV);
-        if (Index->insertAt(G, S, Pos, rawK(FreshK)))
-          return FreshV;
-        discardVersion(G, FreshV);
-        discardKey(G, FreshK);
-        continue;
-      }
-      VNode *FreshV =
-          makeVersion(G, Folded ? &*Folded : nullptr, Tomb, Hd, CRaw);
-      std::uintptr_t Expected = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst))
-        return FreshV;
-      // Head moved (a racing writer appended): the folded value may be
-      // stale — remake from a fresh head, like `merge`.
-      discardVersion(G, FreshV);
-    }
-  }
-
   /// Applies one drained submission batch — the `kv/submit.h` engine.
   /// \p Batch must hold same-key requests adjacent, submission order
   /// preserved within a key (the submitter's stable sort). The caller's
   /// combiner already paid the per-batch costs this amortizes: the whole
-  /// batch runs under the ONE guard entered here, and multi-key batches
-  /// settle under ONE commit record resolved with ONE clock tick (the
-  /// PR 7 machinery), so snapshot reads and scans observe the batch
-  /// all-or-nothing. Unlike `commitWriteSet` there is no read stamp and
-  /// no conflict abort — submitted writes are unconditional (a
+  /// batch runs under the ONE guard entered here, and each adjacent
+  /// same-key group becomes one fold — `Req::fold` run in submission
+  /// order over the key's visible value — of one `commitGroups` call, so
+  /// snapshot reads and scans observe the batch all-or-nothing. \p Req
+  /// is duck-typed: `key()`, `hash()`, `sameKey(Req)`, and
+  /// `fold(std::optional<V>&&) -> std::optional<V>`, which records the
+  /// request's own completion result. Unlike a transaction there is no
+  /// read stamp and no conflict — submitted writes are unconditional (a
   /// compare_and_set checks its expectation inside the fold, at apply
-  /// time) — so the only abort source is a racing solo writer's kill,
-  /// and a killed batch (nothing of which ever became visible) retries
+  /// time) — so the only abort is a racing solo writer's kill, and a
+  /// killed batch (nothing of which ever became visible) retries
   /// wholesale with a fresh record: the same obstruction-free progress
   /// class as transactions, with the kill guaranteeing the *other*
-  /// writer completed. Completion results land in the requests (via
-  /// `fold`); the caller publishes them after this returns.
+  /// writer completed. The caller publishes completion results after
+  /// this returns.
   template <typename Req>
   void applyAsyncBatch(thread_id Tid, Req *const *Batch, std::size_t N) {
     if (!N)
       return;
     auto G = Dom->enter(Tid); // ONE guard for the whole batch
     SubmitBatchLen.record(N);
-
-    // Adjacent same-key requests form one group = one published version.
-    struct Group {
-      std::size_t Begin, End;
+    // Group I is `Batch[Starts[I], Starts[I + 1])`.
+    std::vector<std::size_t> Starts;
+    Starts.reserve(N + 1);
+    for (std::size_t I = 0; I < N; ++I)
+      if (I == 0 || !Batch[I - 1]->sameKey(*Batch[I]))
+        Starts.push_back(I);
+    Starts.push_back(N);
+    const auto FoldOf = [&](std::size_t GI) {
+      const std::size_t Begin = Starts[GI], End = Starts[GI + 1];
+      return KeyFold{Batch[Begin]->key(), Batch[Begin]->hash(),
+                     [Batch, Begin, End, Folded = std::optional<V>()](
+                         VNode *Hd, std::uint64_t) mutable {
+                       Folded = valueOf(Hd);
+                       const bool WasLive = Folded.has_value();
+                       for (std::size_t I = Begin; I < End; ++I)
+                         Folded = Batch[I]->fold(std::move(Folded));
+                       if (Folded)
+                         return Decision{Decision::Put, &*Folded};
+                       return Decision{WasLive ? Decision::Tomb
+                                               : Decision::Skip};
+                     }};
     };
-    std::vector<Group> Groups;
-    Groups.reserve(N);
-    for (std::size_t I = 0; I < N;) {
-      std::size_t J = I + 1;
-      while (J < N && Batch[I]->sameKey(*Batch[J]))
-        ++J;
-      Groups.push_back({I, J});
-      I = J;
-    }
-
-    if (Groups.size() == 1) {
-      // One key: atomic by construction — a solo publish, no record.
-      VNode *VN = publishGroupFold(G, Batch, 0, N, /*C=*/nullptr);
-      if (VN) {
-        Registry.resolve(vr(VN).Stamp);
-        trimAt(G, Batch[0]->key(), Batch[0]->hash());
-      }
-      return;
-    }
-
-    std::vector<bool> Published(Groups.size());
-    for (;;) { // whole-batch retry when a racing writer kills the record
-      CNode *C = makeCommit(G);
-      Published.assign(Groups.size(), false);
-      bool Doomed = false;
-      for (std::size_t GI = 0; GI < Groups.size(); ++GI) {
-        // Stop publishing born-dead versions once a kill is visible.
-        if (cr(C).Stamp.load(std::memory_order_seq_cst) ==
-            SnapshotRegistry::Aborted) {
-          Doomed = true;
-          break;
-        }
-        Published[GI] = publishGroupFold(G, Batch, Groups[GI].Begin,
-                                         Groups[GI].End, C) != nullptr;
-      }
-      std::uint64_t T = 0;
-      bool Committed = false;
-      if (!Doomed) {
-        std::uint64_t Exp = SnapshotRegistry::Unpublished;
-        if (cr(C).Stamp.compare_exchange_strong(
-                Exp, SnapshotRegistry::Pending, std::memory_order_seq_cst,
-                std::memory_order_seq_cst)) {
-          // ONE tick settles the entire batch (helpers CAS benignly).
-          T = Registry.resolveCommit(cr(C).Stamp);
-          Committed = true;
-        }
-      }
-      if (!Committed) {
-        std::uint64_t Exp = SnapshotRegistry::Unpublished;
-        cr(C).Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
-                                            std::memory_order_seq_cst,
-                                            std::memory_order_seq_cst);
-      }
-      // Invariant 3: every published version's stamp leaves Pending
-      // before the record is retired. The commit sweep fuses the settle
-      // with the trim the write owes the chain (one find per group).
-      for (std::size_t GI = 0; GI < Groups.size(); ++GI) {
-        if (!Published[GI])
-          continue;
-        const Req &R = *Batch[Groups[GI].Begin];
-        if (Committed)
-          settleAndTrim(G, R.key(), R.hash(), T);
-        else
-          abortPublished(G, R.key(), R.hash(), C);
-      }
-      retireCommit(G, C);
-      if (!Committed)
-        continue; // killed: nothing became visible — re-fold, re-publish
-      return;
+    while (!commitGroups(G, Starts.size() - 1, FoldOf)) {
+      // Killed: nothing became visible — re-fold, re-publish.
     }
   }
 

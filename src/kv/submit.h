@@ -194,8 +194,9 @@ template <typename Scheme, typename K, typename V> struct AsyncRequest {
     return Hash == O.Hash && detail::foldEquals(KeyV, O.KeyV);
   }
 
-  /// Applies this op to the running folded state of its key group (see
-  /// `Store::publishGroupFold`): returns the key's new value state and
+  /// Applies this op to the running folded state of its key group (the
+  /// group's fold in `Store::applyAsyncBatch`, run by
+  /// `Store::foldAppend`): returns the key's new value state and
   /// stages the op's completion result. Results mirror the sync API:
   /// put -> "key was absent", erase -> "key was present",
   /// compare_and_set -> "swapped", merge -> true. Re-run when the

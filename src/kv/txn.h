@@ -10,7 +10,10 @@
 /// repeatable reads) plus a buffered write set with read-your-writes
 /// lookups; `commit` applies the whole set atomically or not at all.
 ///
-/// Commit protocol (the chain-side half lives in `kv/store.h`):
+/// Commit protocol (the chain-side half lives in `kv/store.h`: each
+/// entry is a fold over its key's head run by `Store::foldAppend`, the
+/// one append site, and the set is one call to `Store::commitGroups`,
+/// the commit-record driver the async batch path shares):
 ///
 ///   1. Every buffered version is CAS-appended to its key's chain with
 ///      its stamp left Pending and its `Commit` word pointing at one
@@ -130,7 +133,8 @@ public:
   /// unpublished record; no write was applied. Either way the
   /// transaction is finished — begin a new one to retry. An empty
   /// write set commits trivially at the read stamp; a single-entry set
-  /// takes the solo fast path (no commit record).
+  /// is a lone group in `Store::commitGroups` and takes the solo path
+  /// (no commit record).
   bool commit(thread_id Tid) {
     if (!active())
       return false;
@@ -148,7 +152,7 @@ public:
       if (Ok)
         CommitV = *T;
     }
-    Snap.reset(); // kept live until after commitWriteSet — see file doc
+    Snap.reset(); // kept live until the commit returns — see file doc
     Set.clear();
     return Ok;
   }
@@ -167,7 +171,8 @@ private:
   friend store_type;
 
   /// One buffered write; `Val == nullopt` is an erase. The field shape
-  /// (`Key`/`Val`/`Hash`) is the `commitWriteSet` entry contract.
+  /// (`Key`/`Val`/`Hash`) is the `commitWriteSet` entry contract: each
+  /// entry becomes one conflict-checked fold of `Store::commitGroups`.
   struct Entry {
     K Key;
     std::optional<V> Val;

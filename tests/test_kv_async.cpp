@@ -300,6 +300,81 @@ TYPED_TEST(KvAsync, ReadersNeverObserveAPartialBatch) {
 #endif
 }
 
+TYPED_TEST(KvAsync, KilledBatchRetriesWholeAndStaysAtomic) {
+  // The same single-batch rounds, plus a solo thread running identity
+  // merges over the group's keys: each merge that meets an unpublished
+  // batch version kills the batch's commit record, forcing the whole
+  // batch to retry under a fresh one. Identity merges leave every value
+  // (and so the generation the readers audit) unchanged.
+  constexpr uint64_t GroupKeys = 6;
+  constexpr uint64_t Rounds = 120;
+  constexpr unsigned Readers = 2;
+  constexpr unsigned MergerTid = 1 + Readers;
+  kv::Options O = asyncTestOptions(MergerTid + 1);
+  O.Shards = 1;
+  typename TestFixture::Store Db(O);
+  for (uint64_t K = 0; K < GroupKeys; ++K)
+    Db.put(0, TestFixture::key(K), TestFixture::val(K)); // generation 0
+  kv::AsyncOptions AO;
+  AO.RingCapacity = 64; // never full: a fallback would split the group
+  typename TestFixture::Submitter Sub(Db, AO);
+
+  std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> Torn{0};
+  std::vector<std::thread> Threads;
+  for (unsigned R = 0; R < Readers; ++R)
+    Threads.emplace_back([&, R] {
+      const unsigned Tid = 1 + R;
+      while (!Stop.load(std::memory_order_relaxed)) {
+        kv::snapshot S = Db.open_snapshot();
+        uint64_t First = ~0ull;
+        for (uint64_t K = 0; K < GroupKeys; ++K) {
+          auto Got = Db.get(Tid, TestFixture::key(K), S);
+          ASSERT_TRUE(Got.has_value());
+          const uint64_t Gen = TestFixture::stampOf(*Got) / 1000;
+          if (First == ~0ull)
+            First = Gen;
+          else if (Gen != First)
+            Torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  Threads.emplace_back([&] {
+    while (!Stop.load(std::memory_order_relaxed))
+      for (uint64_t K = 0; K < GroupKeys; ++K)
+        Db.merge(MergerTid, TestFixture::key(K), [](auto C) { return *C; });
+  });
+
+  uint64_t Completed = 0, Lost = 0;
+  for (uint64_t Round = 1; Round <= Rounds; ++Round) {
+    std::vector<typename TestFixture::Future> Batch;
+    Batch.reserve(GroupKeys);
+    for (uint64_t K = 0; K < GroupKeys; ++K)
+      Batch.push_back(Sub.put(0, TestFixture::key(K),
+                              TestFixture::val(Round * 1000 + K)));
+    for (typename TestFixture::Future &F : Batch) {
+      F.get(0);
+      Completed += !F.valid();
+    }
+    // A killed batch that was not retried would leave this round's
+    // values missing (identity merges never change them).
+    for (uint64_t K = 0; K < GroupKeys; ++K)
+      Lost += Db.get(0, TestFixture::key(K)) !=
+              TestFixture::val(Round * 1000 + K);
+  }
+  Stop.store(true, std::memory_order_relaxed);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Torn.load(), 0u)
+      << "a snapshot observed some but not all writes of a batch";
+  EXPECT_EQ(Completed, Rounds * GroupKeys) << "every future completes";
+  EXPECT_EQ(Lost, 0u) << "a completed round's writes must be visible";
+  for (uint64_t K = 0; K < GroupKeys; ++K)
+    EXPECT_EQ(Db.get(0, TestFixture::key(K)),
+              TestFixture::val(Rounds * 1000 + K))
+        << "each key ends at the last round's value";
+}
+
 //===----------------------------------------------------------------------===//
 // Backpressure: ring-full sync fallback
 //===----------------------------------------------------------------------===//

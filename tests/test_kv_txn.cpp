@@ -497,10 +497,10 @@ TYPED_TEST(KvTxn, ConcurrentTransfersKeepScanSumInvariant) {
 }
 
 TYPED_TEST(KvTxn, ConcurrentTxnsVsSoloWritersStayConsistent) {
-  // Transactions racing plain puts/erases and CAS on a hot key range:
-  // exercises the kill path (solo writers abort unpublished commits),
-  // aborted-head unpublish, and reader restarts. Integrity: every value
-  // read carries its own key's tag.
+  // Transactions racing plain puts/erases, CAS and merge on a hot key
+  // range: exercises the kill path (solo writers abort unpublished
+  // commits), aborted-head unpublish, and reader restarts. Integrity:
+  // every value read carries its own key's tag.
   constexpr unsigned Txns = 3, Solos = 3, Readers = 2;
   constexpr uint64_t KeyRange = 24;
   typename TestFixture::Store Db(txnTestOptions(Txns + Solos + Readers));
@@ -539,6 +539,10 @@ TYPED_TEST(KvTxn, ConcurrentTxnsVsSoloWritersStayConsistent) {
           if (Cur)
             (void)Db.compare_and_set(Tid, K(X), *Cur,
                                      V(X * 1000 + Rng.nextBounded(1000)));
+        } else if (Roll < 45) {
+          const uint64_t R = Rng.nextBounded(1000);
+          (void)Db.merge(Tid, K(X),
+                         [&](auto /*Cur*/) { return V(X * 1000 + R); });
         } else {
           Db.put(Tid, K(X), V(X * 1000 + Rng.nextBounded(1000)));
         }

@@ -393,22 +393,24 @@ TEST(Workload, ValueSizeDistShapes) {
 TEST(Workload, RunSessionsSpawnsFreshThreadPerSession) {
   constexpr unsigned Workers = 3, Sessions = 5;
   std::mutex Mu;
-  std::set<std::thread::id> Ids;
   std::set<std::pair<unsigned, unsigned>> Seen;
+  unsigned Reused = 0;
   const uint64_t Total =
       workload::runSessions(Workers, Sessions, [&](unsigned W, unsigned S) {
+        // Thread ids of joined threads are recycled, so ids cannot tell
+        // a fresh thread from a reused one; a thread_local can: it starts
+        // unset on every new thread.
+        thread_local bool Served = false;
         std::lock_guard<std::mutex> Lock(Mu);
-        Ids.insert(std::this_thread::get_id());
+        Reused += Served;
+        Served = true;
         Seen.insert({W, S});
         return uint64_t{1};
       });
   EXPECT_EQ(Total, uint64_t{Workers} * Sessions);
   EXPECT_EQ(Seen.size(), std::size_t{Workers} * Sessions)
       << "every (worker, session) pair runs exactly once";
-  // Joined threads can have their ids recycled by later spawns, so the
-  // strict lower bound is the concurrent-worker count; in practice the
-  // count is far higher, proving sessions are not reusing one thread.
-  EXPECT_GE(Ids.size(), std::size_t{Workers});
+  EXPECT_EQ(Reused, 0u) << "every session runs on a thread of its own";
 }
 
 TEST(Workload, RunSessionedStopsAndCounts) {
