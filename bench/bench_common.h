@@ -50,12 +50,12 @@ struct SweepOptions {
   std::vector<std::string> Schemes;
 };
 
-/// Expands the `--schemes all` keyword to every runnable scheme (the
-/// paper lineup plus ablations); any other list passes through.
+/// Expands the `--schemes all` keyword to every runnable scheme; any
+/// other list passes through.
 inline std::vector<std::string>
 expandSchemes(std::vector<std::string> Requested) {
   if (Requested.size() == 1 && Requested[0] == "all")
-    return harness::runnableSchemes();
+    return harness::allSchemes();
   return Requested;
 }
 
@@ -63,7 +63,7 @@ expandSchemes(std::vector<std::string> Requested) {
 /// set; on an unknown name prints the valid set and exits 2 (no silent
 /// defaulting).
 inline void checkSchemes(const std::vector<std::string> &Requested) {
-  const std::vector<std::string> &Valid = harness::runnableSchemes();
+  const std::vector<std::string> &Valid = harness::allSchemes();
   if (Requested.empty()) {
     // A trailing `=` typo (--schemes=) must not silently emit an empty
     // report.

@@ -11,7 +11,6 @@
 #include "core/hyaline.h"
 #include "core/hyaline1.h"
 #include "core/hyaline1s.h"
-#include "core/hyaline_packed.h"
 #include "core/hyaline_s.h"
 #include "lfsmr/kv.h"
 #include "lfsmr/kv_async.h"
@@ -1941,8 +1940,7 @@ void lfsmr::bench::printUsage(std::FILE *Out) {
       "  --threads 1,4,8           thread counts to sweep\n"
       "  --secs S                  measured seconds per data point\n"
       "  --repeats N               repeats per data point\n"
-      "  --schemes a,b             scheme subset; `all` = every runnable\n"
-      "                            scheme incl. ablations\n"
+      "  --schemes a,b             scheme subset; `all` = every scheme\n"
       "  --keyrange N --prefill N  key space / prefill size\n"
       "  --seed S                  base suite seed (repeat R uses S+R)\n"
       "  --ops N --writers N --sample N   stall-suite churn parameters\n"

@@ -121,8 +121,8 @@ template <typename Scheme> void typedDomainRoundTrip(const char *Name) {
 void anyDomainRoundTrip() {
   check(lfsmr::any_domain::is_scheme("hyalines"), "hyalines is a scheme");
   check(!lfsmr::any_domain::is_scheme("nope"), "unknown name rejected");
-  check(lfsmr::any_domain::scheme_names().size() >= 9,
-        "full transparent lineup constructible");
+  check(lfsmr::any_domain::scheme_names().size() == 8,
+        "full transparent lineup constructible (nine schemes minus hp)");
   check(!lfsmr::any_domain::is_scheme("hp"),
         "hp excluded from the transparent lineup");
   // HP protects published addresses; a transparent any_domain over it

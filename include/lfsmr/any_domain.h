@@ -270,10 +270,9 @@ public:
   any_domain(const any_domain &) = delete;
   any_domain &operator=(const any_domain &) = delete;
 
-  /// Every *constructible* scheme name: the paper lineup plus ablations,
-  /// in presentation order, minus the address-protecting schemes
-  /// (`"hp"`) that cannot run transparently. Generated from
-  /// `smr/scheme_list.h`.
+  /// Every *constructible* scheme name: the paper lineup in presentation
+  /// order, minus the address-protecting schemes (`"hp"`) that cannot run
+  /// transparently. Generated from `smr/scheme_list.h`.
   static const std::vector<std::string> &scheme_names() {
     static const std::vector<std::string> names = [] {
       std::vector<std::string> all;

@@ -8,7 +8,7 @@
 /// The whole public lfsmr API in one include:
 ///
 ///  - `lfsmr/config.h` — `config`, `thread_id`, `deleter`, `memory_stats`;
-///  - `lfsmr/schemes.h` — the nine reclamation schemes (+ ablation);
+///  - `lfsmr/schemes.h` — the nine reclamation schemes;
 ///  - `lfsmr/domain.h` / `lfsmr/guard.h` / `lfsmr/protected_ptr.h` — the
 ///    typed facade: `domain<Scheme>`, RAII `guard`, protected reads,
 ///    transparent `create`/`retire`;
@@ -37,8 +37,8 @@
 /// public surface lives directly in this namespace: `domain`, `guard`,
 /// `protected_ptr`, `any_domain`, `config`, and the container aliases.
 namespace lfsmr {
-/// Public aliases for the nine reclamation schemes (+ ablations); each
-/// is a valid `Scheme` parameter for `lfsmr::domain`.
+/// Public aliases for the nine reclamation schemes; each is a valid
+/// `Scheme` parameter for `lfsmr::domain`.
 namespace schemes {}
 /// Implementation details of the public facade; not a stable interface.
 namespace detail {}

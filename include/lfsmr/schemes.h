@@ -20,7 +20,6 @@
 /// | `schemes::ibr`             | `"ibr"`       | yes    | no          |
 /// | `schemes::hazard_eras`     | `"he"`        | yes    | no          |
 /// | `schemes::hazard_pointers` | `"hp"`        | yes    | no          |
-/// | `schemes::hyaline_packed`  | `"hyalinep"`  | no     | yes         |
 ///
 /// The runtime names (second column) select the same schemes through
 /// `lfsmr::any_domain` and the benchmark harness. See `docs/schemes.md`
@@ -34,7 +33,6 @@
 #include "core/hyaline.h"
 #include "core/hyaline1.h"
 #include "core/hyaline1s.h"
-#include "core/hyaline_packed.h"
 #include "core/hyaline_s.h"
 #include "smr/ebr.h"
 #include "smr/he.h"
@@ -79,8 +77,8 @@ using ibr = smr::IBR;
 /// Fully transparent, balanced reclamation, not robust.
 using hyaline = core::Hyaline;
 
-/// Hyaline-1 (Section 4.1): single-list variant for platforms without
-/// double-width CAS; requires thread registration (partial transparency).
+/// Hyaline-1 (Section 4.1): single-list variant, one slot per thread with
+/// a one-bit HRef; requires thread registration (partial transparency).
 using hyaline1 = core::Hyaline1;
 
 /// Hyaline-S (Sections 4.2-4.3, Figures 9-10): robust Hyaline with birth
@@ -89,9 +87,6 @@ using hyaline_s = core::HyalineS;
 
 /// Hyaline-1S (Section 4.2): robust single-list variant.
 using hyaline1_s = core::Hyaline1S;
-
-/// Packed-head Hyaline ablation (single-width head encoding).
-using hyaline_packed = core::HyalinePacked;
 
 } // namespace lfsmr::schemes
 

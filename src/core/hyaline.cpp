@@ -1,4 +1,4 @@
-//===- core/hyaline.cpp - Hyaline (double-width CAS) ----------------------===//
+//===- core/hyaline.cpp - Hyaline (multiple lists) ------------------------===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -7,30 +7,35 @@
 #include "core/hyaline.h"
 
 #include <cassert>
-#include <thread>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace lfsmr;
 using namespace lfsmr::core;
 using namespace lfsmr::smr;
 
-static unsigned resolveSlots(const Config &C) {
-  unsigned Want = C.Slots;
-  if (Want == 0)
-    Want = std::thread::hardware_concurrency();
-  if (Want == 0)
-    Want = 1;
-  return static_cast<unsigned>(nextPowerOfTwo(Want));
+// CountedHead's two packing limits (core/hyaline_head.h): hard checks in
+// every build, reported the way SnapshotRegistry::clockOverflow is.
+void CountedHead::refSaturated() {
+  std::fprintf(stderr, "lfsmr: fatal: Hyaline slot reference count "
+                       "saturated (65535 guards inside one slot)\n");
+  std::abort();
+}
+
+void CountedHead::pointerTooWide(uint64_t Raw) {
+  std::fprintf(stderr,
+               "lfsmr: fatal: node address 0x%llx exceeds 48 bits; the "
+               "Hyaline head cannot encode it\n",
+               static_cast<unsigned long long>(Raw));
+  std::abort();
 }
 
 Hyaline::Hyaline(const Config &C, Deleter Free, void *FreeCtx)
-    : HyalineBase(Free, FreeCtx), K(resolveSlots(C)), Adjs(adjsForSlots(K)),
+    : HyalineBase(Free, FreeCtx), K(static_cast<unsigned>(slotsFor(C))),
+      Adjs(adjsForSlots(K)),
       Threshold(std::max<std::size_t>(C.MinBatch, K + 1)),
-      MaxThreads(C.MaxThreads),
-      Heads(new CachePadded<DWAtomicHead>[K]),
-      Threads(new CachePadded<PerThread>[C.MaxThreads]) {
-  for (unsigned I = 0; I < K; ++I)
-    Heads[I]->storeRelaxed(Head{});
-}
+      MaxThreads(C.MaxThreads), Heads(new CachePadded<CountedHead>[K]),
+      Threads(new CachePadded<PerThread>[C.MaxThreads]) {}
 
 Hyaline::~Hyaline() {
   // Published batches have all been reclaimed at quiescence; only the
@@ -38,46 +43,25 @@ Hyaline::~Hyaline() {
   for (unsigned I = 0; I < MaxThreads; ++I)
     freeLocalBatch(Threads[I]->Batch);
 #ifndef NDEBUG
-  for (unsigned I = 0; I < K; ++I) {
-    const Head H = Heads[I]->load();
-    assert(H.Ref == 0 && H.Ptr == nullptr &&
+  for (unsigned I = 0; I < K; ++I)
+    assert(Heads[I]->load() == 0 &&
            "Hyaline destroyed while threads are still inside operations");
-  }
 #endif
 }
 
 Hyaline::Guard Hyaline::enter(ThreadId Tid) {
   assert(Tid < MaxThreads && "thread id out of range");
   const unsigned Slot = Tid & (K - 1);
-  DWAtomicHead &H = *Heads[Slot];
-  // Figure 7 line 4: FAA on [HRef, HPtr]; x86 has no 128-bit FAA, so a CAS
-  // loop emulates it (the paper's artifact does the same). The initial
-  // load may be torn; a failing CAS returns the exact value (dwcas.h).
-  Head Old = H.load();
-  while (!H.compareExchange(Old, Head{Old.Ref + 1, Old.Ptr})) {
-  }
-  return Guard{Tid, Slot, Old.Ptr};
+  return Guard{Tid, Slot, Heads[Slot]->arrive()};
 }
 
 void Hyaline::leave(Guard &G) {
-  DWAtomicHead &H = *Heads[G.Slot];
-  Head Old = H.load();
-  HyalineNode *Curr = nullptr;
   HyalineNode *Next = nullptr;
-  Head New;
-  do {
-    assert(Old.Ref >= 1 && "leave without a matching enter");
-    Curr = Old.Ptr;
-    if (Curr != G.Handle) {
-      assert(Curr && "head cannot be null while our handle is newer");
-      Next = Curr->next(std::memory_order_acquire);
-    }
-    // The last thread out empties the list and accounts for the head node
-    // below, treating it as a predecessor (Figure 7 lines 13, 16-17).
-    New.Ptr = (Old.Ref == 1) ? nullptr : Curr;
-    New.Ref = Old.Ref - 1;
-  } while (!H.compareExchange(Old, New));
-  if (Old.Ref == 1 && Curr)
+  const uint64_t Old = Heads[G.Slot]->depart(G.Handle, Next);
+  HyalineNode *Curr = CountedHead::ptrOf(Old);
+  // The last thread out empties the list and accounts for the head node,
+  // treating it as a predecessor (Figure 7 lines 13, 16-17).
+  if (CountedHead::refOf(Old) == 1 && Curr)
     adjust(Curr, Adjs);
   if (Curr != G.Handle)
     traverse(Next, G.Handle);
@@ -88,8 +72,7 @@ void Hyaline::trim(Guard &G) {
   // Appendix B, Figure 15: dereference batches retired since enter (or the
   // previous trim) without touching Head. The current head node stays: its
   // references are tracked through HRef until it is displaced.
-  const Head H = Heads[G.Slot]->load();
-  HyalineNode *Curr = H.Ptr;
+  HyalineNode *Curr = CountedHead::ptrOf(Heads[G.Slot]->load());
   if (Curr != G.Handle) {
     assert(Curr && "head cannot be null while our handle is newer");
     traverse(Curr->next(std::memory_order_acquire), G.Handle);
@@ -117,24 +100,16 @@ void Hyaline::publishBatch(LocalBatch &B) {
   HyalineNode *CurrNode = B.First;
 
   for (unsigned Slot = 0; Slot < K; ++Slot) {
-    DWAtomicHead &H = *Heads[Slot];
-    Head Old = H.load();
-    bool Inserted = false;
-    do {
-      if (Old.Ref == 0) {
-        // Slot has no active threads: account for it directly (Figure 7
-        // lines 30-32). A torn read cannot fake this: the Ref half is
-        // loaded atomically and zero means the slot really was empty
-        // after every node of this batch had been unlinked.
-        DoAdj = true;
-        Empty += Adjs;
-        break;
-      }
-      CurrNode->setNext(Old.Ptr, std::memory_order_relaxed);
-      Inserted = H.compareExchange(Old, Head{Old.Ref, CurrNode});
-    } while (!Inserted);
-    if (!Inserted)
+    uint64_t Old;
+    // A slot with no active threads is accounted for directly (Figure 7
+    // lines 30-32).
+    if (!Heads[Slot]->insert(CurrNode, Old, [](uint64_t W) {
+          return CountedHead::refOf(W) == 0;
+        })) {
+      DoAdj = true;
+      Empty += Adjs;
       continue;
+    }
     CurrNode = CurrNode->BatchNext;
     assert(CurrNode != B.First && "batch ran out of slot-carrier nodes");
     // Displace the predecessor: transfer the HRef snapshot into its NRef
@@ -142,8 +117,8 @@ void Hyaline::publishBatch(LocalBatch &B) {
     // Figure 3 for the counter-propagation picture). An empty list has no
     // predecessor; our node's own insertion is accounted for when it is
     // displaced in turn, or by the last leaver.
-    if (Old.Ptr)
-      adjust(Old.Ptr, Adjs + Old.Ref);
+    if (HyalineNode *Pred = CountedHead::ptrOf(Old))
+      adjust(Pred, Adjs + CountedHead::refOf(Old));
   }
   if (DoAdj)
     adjust(B.First, Empty);

@@ -1,4 +1,4 @@
-//===- core/hyaline.h - Hyaline (double-width CAS) ---------------*- C++ -*-===//
+//===- core/hyaline.h - Hyaline (multiple lists) -----------------*- C++ -*-===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -6,8 +6,10 @@
 ///
 /// \file
 /// Hyaline, the paper's primary scheme (Sections 3.2 and 4.1, Figure 7):
-/// scalable multiple-list reference-counted reclamation for architectures
-/// with double-width CAS.
+/// scalable multiple-list reference-counted reclamation. The paper states
+/// it with a double-width CAS on the `[HRef, HPtr]` head; this build packs
+/// the head into one word as Section 2 suggests ("48-bit ... pointers ...
+/// can be squeezed with 16-bit counters"), see core/hyaline_head.h.
 ///
 /// Key ideas:
 ///  - Reference counters are used only while handling *retired* nodes;
@@ -32,7 +34,6 @@
 #ifndef LFSMR_CORE_HYALINE_H
 #define LFSMR_CORE_HYALINE_H
 
-#include "core/dwcas.h"
 #include "core/hyaline_base.h"
 #include "core/hyaline_head.h"
 #include "core/hyaline_node.h"
@@ -69,7 +70,7 @@ public:
   Hyaline &operator=(const Hyaline &) = delete;
 
   /// Atomically increments the slot's HRef and snapshots HPtr as the
-  /// operation's handle (Figure 7, lines 3-5).
+  /// operation's handle (Figure 7, lines 3-5): one wait-free FAA.
   Guard enter(smr::ThreadId Tid);
 
   /// Decrements HRef and dereferences every batch retired during the
@@ -119,7 +120,7 @@ private:
   const std::size_t Threshold;
   const unsigned MaxThreads;
 
-  std::unique_ptr<CachePadded<DWAtomicHead>[]> Heads;
+  std::unique_ptr<CachePadded<CountedHead>[]> Heads;
   std::unique_ptr<CachePadded<PerThread>[]> Threads;
 };
 

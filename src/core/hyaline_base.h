@@ -18,9 +18,11 @@
 
 #include "core/hyaline_node.h"
 #include "smr/smr.h"
+#include "support/align.h"
 #include "support/mem_counter.h"
 
 #include <cassert>
+#include <thread>
 
 namespace lfsmr::core {
 
@@ -46,6 +48,14 @@ protected:
     assert(Free && "Hyaline requires a deleter");
   }
   ~HyalineBase() = default;
+
+  /// The multiple-list slot count `k`: `Config::Slots`, or the core count
+  /// when 0, rounded up to a power of two.
+  static std::size_t slotsFor(const smr::Config &C) {
+    const unsigned Want =
+        C.Slots ? C.Slots : std::thread::hardware_concurrency();
+    return nextPowerOfTwo(Want); // nextPowerOfTwo(0) == 1
+  }
 
   /// FAA(NRef, Val); frees the batch when the counter reaches zero
   /// (Figure 7, lines 20-22: the old value equals -Val mod 2^64).

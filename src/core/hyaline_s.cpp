@@ -8,37 +8,24 @@
 
 #include "support/trace.h"
 #include <cassert>
-#include <thread>
 
 using namespace lfsmr;
 using namespace lfsmr::core;
 using namespace lfsmr::smr;
 
-static std::size_t resolveKMin(const Config &C) {
-  unsigned Want = C.Slots;
-  if (Want == 0)
-    Want = std::thread::hardware_concurrency();
-  if (Want == 0)
-    Want = 1;
-  return nextPowerOfTwo(Want);
-}
-
 HyalineS::HyalineS(const Config &C, Deleter Free, void *FreeCtx)
     : HyalineBase(Free, FreeCtx), MinBatch(C.MinBatch), EraFreq(C.EraFreq),
       AckThreshold(C.AckThreshold), MaxThreads(C.MaxThreads),
-      Dir(resolveKMin(C)), Threads(new CachePadded<PerThread>[C.MaxThreads]) {
-}
+      Dir(slotsFor(C)), Threads(new CachePadded<PerThread>[C.MaxThreads]) {}
 
 HyalineS::~HyalineS() {
   for (unsigned I = 0; I < MaxThreads; ++I)
     freeLocalBatch(Threads[I]->Batch);
 #ifndef NDEBUG
   const std::size_t K = Dir.capacity();
-  for (std::size_t I = 0; I < K; ++I) {
-    const Head H = Dir.slot(I)->H.load();
-    assert(H.Ref == 0 && H.Ptr == nullptr &&
+  for (std::size_t I = 0; I < K; ++I)
+    assert(Dir.slot(I)->H.load() == 0 &&
            "Hyaline-S destroyed while threads are still inside operations");
-  }
 #endif
 }
 
@@ -63,31 +50,15 @@ HyalineS::Guard HyalineS::enter(ThreadId Tid) {
     // Section 4.3: every slot looks stalled — double the slot count.
     Dir.grow(K);
   }
-
-  DWAtomicHead &H = Dir.slot(Slot)->H;
-  Head Old = H.load();
-  while (!H.compareExchange(Old, Head{Old.Ref + 1, Old.Ptr})) {
-  }
-  return Guard{Tid, Slot, Old.Ptr};
+  return Guard{Tid, Slot, Dir.slot(Slot)->H.arrive()};
 }
 
 void HyalineS::leave(Guard &G) {
   SlotState &S = *Dir.slot(G.Slot);
-  Head Old = S.H.load();
-  HyalineNode *Curr = nullptr;
   HyalineNode *Next = nullptr;
-  Head New;
-  do {
-    assert(Old.Ref >= 1 && "leave without a matching enter");
-    Curr = Old.Ptr;
-    if (Curr != G.Handle) {
-      assert(Curr && "head cannot be null while our handle is newer");
-      Next = Curr->next(std::memory_order_acquire);
-    }
-    New.Ptr = (Old.Ref == 1) ? nullptr : Curr;
-    New.Ref = Old.Ref - 1;
-  } while (!S.H.compareExchange(Old, New));
-  if (Old.Ref == 1 && Curr) {
+  const uint64_t Old = S.H.depart(G.Handle, Next);
+  HyalineNode *Curr = CountedHead::ptrOf(Old);
+  if (CountedHead::refOf(Old) == 1 && Curr) {
     // Per-batch Adjs (Section 4.3): read it from the batch's NRef node.
     adjust(Curr, Curr->refNode()->batchAdjs());
   }
@@ -101,8 +72,7 @@ void HyalineS::leave(Guard &G) {
 
 void HyalineS::trim(Guard &G) {
   SlotState &S = *Dir.slot(G.Slot);
-  const Head H = S.H.load();
-  HyalineNode *Curr = H.Ptr;
+  HyalineNode *Curr = CountedHead::ptrOf(S.H.load());
   if (Curr == G.Handle)
     return;
   assert(Curr && "head cannot be null while our handle is newer");
@@ -182,29 +152,25 @@ bool HyalineS::publishBatch(LocalBatch &B) {
 
   for (std::size_t Slot = 0; Slot < K; ++Slot) {
     SlotState &S = *Dir.slot(Slot);
-    Head Old = S.H.load();
-    bool Inserted = false;
-    do {
-      // Figure 9, line 14: skip inactive slots and slots whose access era
-      // proves none of their threads ever dereferenced a batch node.
-      if (Old.Ref == 0 ||
-          S.Access.load(std::memory_order_seq_cst) < B.MinBirth) {
-        DoAdj = true;
-        Empty += Adjs;
-        break;
-      }
-      CurrNode->setNext(Old.Ptr, std::memory_order_relaxed);
-      Inserted = S.H.compareExchange(Old, Head{Old.Ref, CurrNode});
-    } while (!Inserted);
-    if (!Inserted)
+    uint64_t Old;
+    // Figure 9, line 14: skip inactive slots and slots whose access era
+    // proves none of their threads ever dereferenced a batch node.
+    if (!S.H.insert(CurrNode, Old, [&](uint64_t W) {
+          return CountedHead::refOf(W) == 0 ||
+                 S.Access.load(std::memory_order_seq_cst) < B.MinBirth;
+        })) {
+      DoAdj = true;
+      Empty += Adjs;
       continue;
+    }
     CurrNode = CurrNode->BatchNext;
     assert(CurrNode != B.First && "batch ran out of slot-carrier nodes");
-    if (Old.Ptr)
-      adjust(Old.Ptr, Old.Ptr->refNode()->batchAdjs() + Old.Ref);
+    const uint64_t Ref = CountedHead::refOf(Old);
+    if (HyalineNode *Pred = CountedHead::ptrOf(Old))
+      adjust(Pred, Pred->refNode()->batchAdjs() + Ref);
     // Figure 9, line 15: account the threads that will dereference this
     // batch in this slot.
-    S.Ack.fetch_add(static_cast<int64_t>(Old.Ref), std::memory_order_relaxed);
+    S.Ack.fetch_add(static_cast<int64_t>(Ref), std::memory_order_relaxed);
   }
   if (DoAdj)
     adjust(B.First, Empty);

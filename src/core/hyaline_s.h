@@ -7,7 +7,8 @@
 /// \file
 /// Hyaline-S (Sections 4.2-4.3, Figures 9-10): Hyaline extended to bound
 /// memory usage under stalled threads (robustness), at the cost of
-/// wrapping pointer reads in `deref`.
+/// wrapping pointer reads in `deref`. Its per-slot head is Hyaline's
+/// single-word `[HRef:16 | HPtr:48]` (core/hyaline_head.h).
 ///
 /// Mechanisms added on top of Hyaline:
 ///  - a global allocation-era clock; every node carries a *birth era*
@@ -30,7 +31,6 @@
 #ifndef LFSMR_CORE_HYALINE_S_H
 #define LFSMR_CORE_HYALINE_S_H
 
-#include "core/dwcas.h"
 #include "core/hyaline_base.h"
 #include "core/hyaline_head.h"
 #include "core/hyaline_node.h"
@@ -61,8 +61,8 @@ public:
   HyalineS &operator=(const HyalineS &) = delete;
 
   /// Picks a slot whose Ack counter is below the stall threshold (growing
-  /// the slot directory if none is), then increments its HRef
-  /// (Figure 9, lines 25-27 plus Section 4.3 growth).
+  /// the slot directory if none is), then increments its HRef with one
+  /// FAA (Figure 9, lines 25-27 plus Section 4.3 growth).
   Guard enter(smr::ThreadId Tid);
 
   /// Hyaline leave plus Ack bookkeeping (Figure 9, lines 28-31).
@@ -107,7 +107,7 @@ public:
 
 private:
   struct SlotState {
-    DWAtomicHead H;
+    CountedHead H;
     std::atomic<uint64_t> Access{0};
     std::atomic<int64_t> Ack{0};
   };

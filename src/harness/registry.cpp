@@ -24,15 +24,6 @@ using namespace lfsmr::harness;
 const std::vector<std::string> &lfsmr::harness::allSchemes() {
   static const std::vector<std::string> Names = {
 #define LFSMR_SCHEME_NAME(NAME, TYPE) NAME,
-      LFSMR_FOREACH_PAPER_SCHEME(LFSMR_SCHEME_NAME)
-#undef LFSMR_SCHEME_NAME
-  };
-  return Names;
-}
-
-const std::vector<std::string> &lfsmr::harness::runnableSchemes() {
-  static const std::vector<std::string> Names = {
-#define LFSMR_SCHEME_NAME(NAME, TYPE) NAME,
       LFSMR_FOREACH_SCHEME(LFSMR_SCHEME_NAME)
 #undef LFSMR_SCHEME_NAME
   };

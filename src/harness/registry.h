@@ -35,13 +35,9 @@ struct RunSpec {
   smr::Config Cfg; ///< MaxThreads is overridden to fit Threads
 };
 
-/// All scheme names, in the paper's presentation order.
+/// All scheme names, in the paper's presentation order. One list,
+/// generated from smr/scheme_list.h.
 const std::vector<std::string> &allSchemes();
-
-/// Every scheme runnable by name: the paper lineup plus ablation
-/// variants (currently "hyalinep"). One list, generated from
-/// smr/scheme_list.h.
-const std::vector<std::string> &runnableSchemes();
 
 /// All data-structure names.
 const std::vector<std::string> &allStructures();

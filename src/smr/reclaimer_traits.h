@@ -17,7 +17,6 @@
 
 #include "core/hyaline.h"
 #include "core/hyaline1.h"
-#include "core/hyaline_packed.h"
 #include "core/hyaline1s.h"
 #include "core/hyaline_s.h"
 #include "smr/ebr.h"
@@ -90,13 +89,6 @@ template <> struct ReclaimerTraits<core::Hyaline1> {
   static constexpr SchemeTraits Row = {
       "Hyaline-1", "-", "Fast", "No", "Partially",
       sizeof(core::Hyaline1::NodeHeader),
-      "Very easy", false, false, true};
-};
-
-template <> struct ReclaimerTraits<core::HyalinePacked> {
-  static constexpr SchemeTraits Row = {
-      "Hyaline-P", "Hyaline (squeezed head)", "Fast", "No", "Yes",
-      sizeof(core::HyalinePacked::NodeHeader),
       "Very easy", false, false, true};
 };
 

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// X-macro lists pairing every runnable scheme name with its concrete
+/// An X-macro list pairing every runnable scheme name with its concrete
 /// type, so the string-keyed dispatchers (harness registry, bench suite
 /// dispatch, scheme-name validation) share ONE list instead of drifting
 /// copies. Adding a scheme means adding one line here; every dispatcher
@@ -26,7 +26,7 @@
 #define LFSMR_SMR_SCHEME_LIST_H
 
 /// The paper's nine-scheme lineup, in its presentation order.
-#define LFSMR_FOREACH_PAPER_SCHEME(X)                                        \
+#define LFSMR_FOREACH_SCHEME(X)                                              \
   X("nomm", lfsmr::smr::NoMM)                                                \
   X("epoch", lfsmr::smr::EBR)                                                \
   X("hyaline", lfsmr::core::Hyaline)                                         \
@@ -36,14 +36,5 @@
   X("ibr", lfsmr::smr::IBR)                                                  \
   X("he", lfsmr::smr::HE)                                                    \
   X("hp", lfsmr::smr::HP)
-
-/// Ablation variants runnable by name but outside the paper lineup.
-#define LFSMR_FOREACH_ABLATION_SCHEME(X)                                     \
-  X("hyalinep", lfsmr::core::HyalinePacked)
-
-/// Every runnable scheme: the paper lineup plus ablations.
-#define LFSMR_FOREACH_SCHEME(X)                                              \
-  LFSMR_FOREACH_PAPER_SCHEME(X)                                              \
-  LFSMR_FOREACH_ABLATION_SCHEME(X)
 
 #endif // LFSMR_SMR_SCHEME_LIST_H

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Typed-test scaffolding shared by the test suite: the list of all nine
-/// schemes, a counting test node, and a deleter that tracks destruction.
+/// Typed-test scaffolding shared by the test suite: the list of every
+/// scheme, a counting test node, and a deleter that tracks destruction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +16,6 @@
 #include "core/hyaline.h"
 #include "core/hyaline1.h"
 #include "core/hyaline1s.h"
-#include "core/hyaline_packed.h"
 #include "core/hyaline_s.h"
 #include "smr/ebr.h"
 #include "smr/he.h"
@@ -34,8 +33,7 @@ namespace lfsmr::testing {
 /// (it never frees) but included in API-shape tests.
 using AllSchemes =
     ::testing::Types<smr::EBR, smr::HP, smr::HE, smr::IBR, core::Hyaline,
-                     core::Hyaline1, core::HyalineS, core::Hyaline1S,
-                     core::HyalinePacked>;
+                     core::Hyaline1, core::HyalineS, core::Hyaline1S>;
 
 /// Schemes with robust (bounded under stall) reclamation.
 using RobustSchemes =
@@ -78,8 +76,6 @@ public:
       return "HyalineS";
     if constexpr (std::is_same_v<T, core::Hyaline1S>)
       return "Hyaline1S";
-    if constexpr (std::is_same_v<T, core::HyalinePacked>)
-      return "HyalineP";
     return "Unknown";
   }
 };

@@ -18,7 +18,7 @@ namespace {
 /// Schemes that can run the Bonsai tree (all but HP/HE; paper Section 6).
 using BonsaiSchemes =
     ::testing::Types<smr::EBR, smr::IBR, core::Hyaline, core::Hyaline1,
-                     core::HyalineS, core::Hyaline1S, core::HyalinePacked>;
+                     core::HyalineS, core::Hyaline1S>;
 
 template <typename S> class BonsaiTest : public ::testing::Test {
 protected:

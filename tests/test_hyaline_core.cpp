@@ -16,6 +16,7 @@
 #include "core/hyaline1.h"
 #include "core/hyaline_head.h"
 #include "core/hyaline_node.h"
+#include "core/hyaline_s.h"
 #include "scheme_fixtures.h"
 
 #include <thread>
@@ -58,7 +59,7 @@ TEST(Adjs, PaperExampleK8) {
 }
 
 //===----------------------------------------------------------------------===
-// PackedHead (Hyaline-1's single-word head)
+// Single-word heads: Hyaline-1's PackedHead and Hyaline's CountedHead
 
 TEST(PackedHead, RoundTrip) {
   auto *N = new HyalineNode();
@@ -68,6 +69,20 @@ TEST(PackedHead, RoundTrip) {
   const uint64_t W2 = PackedHead::pack(false, N);
   EXPECT_FALSE(PackedHead::isActive(W2));
   EXPECT_EQ(PackedHead::pointer(W2), N);
+
+  // [HRef:16 | HPtr:48]: every count up to the limit, and the highest
+  // encodable address (fabricated, never dereferenced).
+  auto *Top = reinterpret_cast<HyalineNode *>(CountedHead::PtrMask & ~7ull);
+  for (HyalineNode *P : {N, Top})
+    for (uint64_t Ref : {uint64_t{0}, uint64_t{1}, CountedHead::RefMax}) {
+      const uint64_t C = CountedHead::pack(Ref, P);
+      EXPECT_EQ(CountedHead::refOf(C), Ref);
+      EXPECT_EQ(CountedHead::ptrOf(C), P);
+      if (Ref < CountedHead::RefMax) {
+        EXPECT_EQ(C + CountedHead::RefOne, CountedHead::pack(Ref + 1, P))
+            << "enter's FAA must touch only the HRef bits";
+      }
+    }
   delete N;
 }
 
@@ -75,6 +90,46 @@ TEST(PackedHead, NullStates) {
   EXPECT_FALSE(PackedHead::isActive(PackedHead::pack(false, nullptr)));
   EXPECT_TRUE(PackedHead::isActive(PackedHead::pack(true, nullptr)));
   EXPECT_EQ(PackedHead::pointer(PackedHead::pack(true, nullptr)), nullptr);
+
+  EXPECT_EQ(CountedHead::pack(0, nullptr), 0u) << "empty slot is word 0";
+  EXPECT_EQ(CountedHead::ptrOf(CountedHead::pack(3, nullptr)), nullptr);
+  EXPECT_EQ(CountedHead::refOf(CountedHead::pack(3, nullptr)), 3u);
+  CountedHead H;
+  EXPECT_EQ(H.arrive(), nullptr);
+  EXPECT_EQ(H.load(), CountedHead::RefOne);
+  HyalineNode *Next = nullptr;
+  EXPECT_EQ(H.depart(nullptr, Next), CountedHead::RefOne);
+  EXPECT_EQ(H.load(), 0u) << "the last leaver empties the head";
+}
+
+// The two limits of the packed head abort even under NDEBUG. Both run
+// on the calling thread only.
+template <typename S> void saturateOneSlot() {
+  std::atomic<int64_t> Freed{0};
+  smr::Config C;
+  C.Slots = 1;
+  C.MaxThreads = 1;
+  S Scheme(C, countingDeleter<S>, &Freed);
+  const typename S::Guard G = Scheme.enter(0);
+  for (uint64_t I = 1; I < CountedHead::RefMax; ++I)
+    Scheme.enter(0); // up to the last legal count
+  EXPECT_DEATH(Scheme.enter(0), "reference count saturated");
+  for (uint64_t I = 0; I < CountedHead::RefMax; ++I) {
+    typename S::Guard Copy = G;
+    Scheme.leave(Copy);
+  }
+}
+
+TEST(CountedHeadDeathTest, RefSaturationAbortsAtEnter) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  saturateOneSlot<Hyaline>();
+  saturateOneSlot<HyalineS>();
+}
+
+TEST(CountedHeadDeathTest, PointerAbove48BitsAbortsAtPack) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto *Wide = reinterpret_cast<HyalineNode *>(uint64_t{1} << 48);
+  EXPECT_DEATH(CountedHead::pack(1, Wide), "exceeds 48 bits");
 }
 
 //===----------------------------------------------------------------------===

@@ -12,11 +12,11 @@
 /// growth, snapshot-consistent scans, and CI-sized concurrent checks
 /// (snapshot repeatability under churn, resize churn, disjoint-writer
 /// accounting). The store suite is typed over scheme × payload configs:
-/// all nine schemes — HP through the store's intrusive node mode — each
-/// with `uint64_t` and `std::string` keys/values, plus struct-payload
-/// and prefix-scan coverage on representative schemes. Heavier soak
-/// lives in test_stress.cpp; the stalled-guard memory bound in
-/// test_robustness.cpp.
+/// all eight reclaiming schemes — HP through the store's intrusive node
+/// mode — each with `uint64_t` and `std::string` keys/values, plus
+/// struct-payload and prefix-scan coverage on representative schemes.
+/// Heavier soak lives in test_stress.cpp; the stalled-guard memory bound
+/// in test_robustness.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -247,7 +247,6 @@ using KvConfigs = ::testing::Types<
     KvCfg<core::Hyaline1, uint64_t, uint64_t>,
     KvCfg<core::HyalineS, uint64_t, uint64_t>,
     KvCfg<core::Hyaline1S, uint64_t, uint64_t>,
-    KvCfg<core::HyalinePacked, uint64_t, uint64_t>,
     KvCfg<smr::EBR, std::string, std::string>,
     KvCfg<smr::HP, std::string, std::string>,
     KvCfg<smr::HE, std::string, std::string>,
@@ -255,8 +254,7 @@ using KvConfigs = ::testing::Types<
     KvCfg<core::Hyaline, std::string, std::string>,
     KvCfg<core::Hyaline1, std::string, std::string>,
     KvCfg<core::HyalineS, std::string, std::string>,
-    KvCfg<core::Hyaline1S, std::string, std::string>,
-    KvCfg<core::HyalinePacked, std::string, std::string>>;
+    KvCfg<core::Hyaline1S, std::string, std::string>>;
 
 /// Readable gtest instantiation names ("HyalineS_str", ...).
 class KvCfgNames {

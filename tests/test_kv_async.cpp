@@ -14,8 +14,8 @@
 /// submitters serve themselves), the dedicated-applier mode,
 /// fire-and-forget lifetime (dropped futures neither leak nor lose
 /// their op; the destructor drains), the closed-loop `CompletionWindow`
-/// pacing helper, and the async telemetry counters. Typed over all nine
-/// schemes with `uint64_t` and `std::string` payloads, like
+/// pacing helper, and the async telemetry counters. Typed over all eight
+/// reclaiming schemes with `uint64_t` and `std::string` payloads, like
 /// test_kv_txn.cpp; labeled `unit` so the asan/tsan presets run
 /// everything here.
 ///
@@ -94,7 +94,6 @@ using AsyncConfigs = ::testing::Types<
     AsyncCfg<core::Hyaline1, uint64_t, uint64_t>,
     AsyncCfg<core::HyalineS, uint64_t, uint64_t>,
     AsyncCfg<core::Hyaline1S, uint64_t, uint64_t>,
-    AsyncCfg<core::HyalinePacked, uint64_t, uint64_t>,
     AsyncCfg<smr::EBR, std::string, std::string>,
     AsyncCfg<smr::HP, std::string, std::string>,
     AsyncCfg<smr::HE, std::string, std::string>,
@@ -102,8 +101,7 @@ using AsyncConfigs = ::testing::Types<
     AsyncCfg<core::Hyaline, std::string, std::string>,
     AsyncCfg<core::Hyaline1, std::string, std::string>,
     AsyncCfg<core::HyalineS, std::string, std::string>,
-    AsyncCfg<core::Hyaline1S, std::string, std::string>,
-    AsyncCfg<core::HyalinePacked, std::string, std::string>>;
+    AsyncCfg<core::Hyaline1S, std::string, std::string>>;
 
 class AsyncCfgNames {
 public:

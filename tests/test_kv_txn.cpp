@@ -13,9 +13,10 @@
 /// kill-based writer liveness (a solo write never waits on an in-flight
 /// commit), trim safety with a stalled snapshot holding a pre-commit
 /// stamp, `compare_and_set`/`merge`, and CI-sized concurrent
-/// bank-transfer atomicity checks. Typed over all nine schemes with
-/// `uint64_t` and `std::string` payloads, like test_kv.cpp; labeled
-/// `unit` so the asan/tsan presets run everything here.
+/// bank-transfer atomicity checks. Typed over all eight reclaiming
+/// schemes with `uint64_t` and `std::string` payloads, like
+/// test_kv.cpp; labeled `unit` so the asan/tsan presets run everything
+/// here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -135,7 +136,6 @@ using TxnConfigs = ::testing::Types<
     TxnCfg<core::Hyaline1, uint64_t, uint64_t>,
     TxnCfg<core::HyalineS, uint64_t, uint64_t>,
     TxnCfg<core::Hyaline1S, uint64_t, uint64_t>,
-    TxnCfg<core::HyalinePacked, uint64_t, uint64_t>,
     TxnCfg<smr::EBR, std::string, std::string>,
     TxnCfg<smr::HP, std::string, std::string>,
     TxnCfg<smr::HE, std::string, std::string>,
@@ -143,8 +143,7 @@ using TxnConfigs = ::testing::Types<
     TxnCfg<core::Hyaline, std::string, std::string>,
     TxnCfg<core::Hyaline1, std::string, std::string>,
     TxnCfg<core::HyalineS, std::string, std::string>,
-    TxnCfg<core::Hyaline1S, std::string, std::string>,
-    TxnCfg<core::HyalinePacked, std::string, std::string>>;
+    TxnCfg<core::Hyaline1S, std::string, std::string>>;
 
 class TxnCfgNames {
 public:

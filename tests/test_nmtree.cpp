@@ -26,7 +26,7 @@ TYPED_TEST_SUITE(NMTreeTest, AllSchemes, SchemeNames);
 template <typename S> class NMTreeConcurrent : public ::testing::Test {};
 using NMTreeSafeSchemes =
     ::testing::Types<smr::EBR, smr::IBR, core::Hyaline, core::Hyaline1,
-                     core::HyalineS, core::Hyaline1S, core::HyalinePacked>;
+                     core::HyalineS, core::Hyaline1S>;
 TYPED_TEST_SUITE(NMTreeConcurrent, NMTreeSafeSchemes, SchemeNames);
 
 TYPED_TEST(NMTreeTest, SequentialSemantics) {

@@ -49,7 +49,6 @@ static_assert(headerMeasured<smr::HE>());
 static_assert(headerMeasured<smr::IBR>());
 static_assert(headerMeasured<core::Hyaline>());
 static_assert(headerMeasured<core::Hyaline1>());
-static_assert(headerMeasured<core::HyalinePacked>());
 static_assert(headerMeasured<core::HyalineS>());
 static_assert(headerMeasured<core::Hyaline1S>());
 
@@ -69,7 +68,6 @@ static_assert(apiShape<smr::HE>(true, true, false));
 static_assert(apiShape<smr::IBR>(true, false, true));
 static_assert(apiShape<core::Hyaline>(false, false, true));
 static_assert(apiShape<core::Hyaline1>(false, false, true));
-static_assert(apiShape<core::HyalinePacked>(false, false, true));
 static_assert(apiShape<core::HyalineS>(true, false, true));
 static_assert(apiShape<core::Hyaline1S>(true, false, true));
 
@@ -93,7 +91,6 @@ static_assert(rowInvariants<smr::HE>());
 static_assert(rowInvariants<smr::IBR>());
 static_assert(rowInvariants<core::Hyaline>());
 static_assert(rowInvariants<core::Hyaline1>());
-static_assert(rowInvariants<core::HyalinePacked>());
 static_assert(rowInvariants<core::HyalineS>());
 static_assert(rowInvariants<core::Hyaline1S>());
 
@@ -112,8 +109,6 @@ const SchemeTraits &rowFor(const std::string &Name) {
     return ReclaimerTraits<smr::IBR>::Row;
   if (Name == "hyaline")
     return ReclaimerTraits<core::Hyaline>::Row;
-  if (Name == "hyalinep")
-    return ReclaimerTraits<core::HyalinePacked>::Row;
   if (Name == "hyaline1")
     return ReclaimerTraits<core::Hyaline1>::Row;
   if (Name == "hyalines")
@@ -160,8 +155,6 @@ TEST(ReclaimerTraits, HyalineHeadersStayWithinTwoWordsOfBaselines) {
   // not proportional to thread count. Guard the relation, not exact sizes.
   EXPECT_LE(ReclaimerTraits<core::Hyaline>::Row.HeaderBytes,
             ReclaimerTraits<smr::EBR>::Row.HeaderBytes + 2 * sizeof(void *));
-  EXPECT_LE(ReclaimerTraits<core::HyalinePacked>::Row.HeaderBytes,
-            ReclaimerTraits<core::Hyaline>::Row.HeaderBytes);
   EXPECT_LE(ReclaimerTraits<core::HyalineS>::Row.HeaderBytes,
             ReclaimerTraits<core::Hyaline>::Row.HeaderBytes + sizeof(void *));
 }

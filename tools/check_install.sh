@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Verifies the install/export packaging end to end:
-#   1. builds the library alone and installs it into a scratch prefix;
+#   1. builds the library alone and installs it into a scratch prefix,
+#      and asserts the exported target imposes no compile options;
 #   2. configures the standalone consumer (examples/find_package_consumer)
 #      against that prefix via find_package(lfsmr CONFIG);
 #   3. builds and runs the consumer's behavioural smoke test;
@@ -39,6 +40,12 @@ test -f "$PREFIX/include/lfsmr/impl/kv/scan.h"
 test -f "$PREFIX/include/lfsmr/impl/kv/txn.h"
 test -f "$PREFIX/lib/cmake/lfsmr/lfsmrConfig.cmake"
 test -f "$PREFIX/lib/cmake/lfsmr/lfsmrConfigVersion.cmake"
+# Consumers build with no CPU-specific flag: the exported target carries
+# no compile options at all (the library needs only single-width atomics).
+if grep -q "INTERFACE_COMPILE_OPTIONS" "$PREFIX/lib/cmake/lfsmr/lfsmrTargets.cmake"; then
+  echo "ERROR: exported lfsmr target imposes compile options on consumers" >&2
+  exit 1
+fi
 
 echo "== 2. configure the standalone consumer against the prefix"
 cmake -B "$BUILD/consumer" -S examples/find_package_consumer \

@@ -291,7 +291,7 @@ int main(int argc, char **argv) {
     Matched = true;                                                          \
     Failures += runScheme<TYPE>(NAME, Opt);                                  \
   }
-  LFSMR_FOREACH_PAPER_SCHEME(LFSMR_STAT_RUN)
+  LFSMR_FOREACH_SCHEME(LFSMR_STAT_RUN)
 #undef LFSMR_STAT_RUN
   if (!Matched) {
     std::fprintf(stderr, "lfsmr-stat: unknown scheme '%s'\n",
